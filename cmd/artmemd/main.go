@@ -65,16 +65,98 @@ import (
 // legitimate control request carries more than a few KB.
 const maxPostBody = 1 << 20
 
-// hardened wraps a control-plane handler with body-size enforcement:
-// every request body is capped at maxPostBody, so a misbehaving client
-// cannot buffer unbounded data into a POST endpoint.
-func hardened(h http.Handler) http.Handler {
+// daemonHandler assembles the daemon's HTTP surface, the same in every
+// mode: the runtime's control endpoints at /, the serving-observability
+// routes (404 with a hint when off), mode-specific extra routes, and
+// the standard pprof surface. The pprof handlers are registered
+// explicitly (rather than importing net/http/pprof for its
+// DefaultServeMux side effect) so the daemon never serves profiling
+// endpoints it did not ask for. Every request body is capped at
+// maxPostBody, so a misbehaving client cannot buffer unbounded data
+// into a POST endpoint.
+func daemonHandler(control http.Handler, obs serveObs, extra func(*http.ServeMux)) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", control)
+	obs.mount(mux)
+	if extra != nil {
+		extra(mux)
+	}
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Body != nil {
 			r.Body = http.MaxBytesReader(w, r.Body, maxPostBody)
 		}
-		h.ServeHTTP(w, r)
+		mux.ServeHTTP(w, r)
 	})
+}
+
+// onlineRuntime is the part of the online runtimes (core.System,
+// core.MultiSystem, core.TieredSystem) a daemon drives at shutdown.
+type onlineRuntime interface {
+	SetDraining(bool)
+	Stop()
+}
+
+// daemon is one running artmemd: the HTTP control server, with -serve
+// the streaming access API, and the shutdown signal channel.
+type daemon struct {
+	http   *http.Server
+	access *serve.Server // nil when the access API is off
+	// stop receives SIGINT and SIGTERM.
+	stop chan os.Signal
+}
+
+// startDaemon serves h on listen in the background and starts
+// listening for shutdown signals.
+func startDaemon(listen string, h http.Handler) *daemon {
+	d := &daemon{stop: make(chan os.Signal, 1), http: &http.Server{
+		Addr:    listen,
+		Handler: h,
+		// Bound how long a client may dribble its request headers;
+		// without it an idle connection pins a goroutine forever
+		// (slowloris).
+		ReadHeaderTimeout: 10 * time.Second,
+	}}
+	signal.Notify(d.stop, os.Interrupt, syscall.SIGTERM)
+	go protect("http", func() {
+		if err := d.http.ListenAndServe(); err != http.ErrServerClosed {
+			fatal(err)
+		}
+	})
+	return d
+}
+
+// serveAccess starts the batched streaming access API on addr: remote
+// clients (cmd/artload) stream access/alloc/free batches at the
+// machine alongside the local replay loop.
+func (d *daemon) serveAccess(addr string, cfg serve.Config) {
+	d.access = serve.NewServer(cfg)
+	go protect("serve", func() {
+		if err := d.access.ListenAndServe(addr); err != nil {
+			fatal(fmt.Errorf("serve: %w", err))
+		}
+	})
+}
+
+// shutdown stops gracefully: flip /healthz to draining (balancers stop
+// routing here), drain the streaming frontend (every accepted batch
+// acked or rejected) and in-flight HTTP requests with a deadline, then
+// stop the runtime's background threads.
+func (d *daemon) shutdown(sys onlineRuntime, drain time.Duration) {
+	sys.SetDraining(true)
+	if d.access != nil {
+		d.access.Shutdown()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := d.http.Shutdown(ctx); err != nil {
+		fmt.Fprintf(os.Stderr, "artmemd: http drain: %v\n", err)
+	}
+	sys.Stop()
 }
 
 func main() {
@@ -154,56 +236,20 @@ func main() {
 	sys.Start()
 	defer sys.Stop()
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-
-	// The control endpoints plus the standard pprof surface. The handlers
-	// are registered explicitly (rather than importing net/http/pprof for
-	// its DefaultServeMux side effect) so the daemon never serves
-	// profiling endpoints it did not ask for.
-	mux := http.NewServeMux()
-	mux.Handle("/", sys.ControlHandler())
 	// Serving observability (span journal + SLO monitor) exists only
 	// when the streaming access API is on; the endpoints 404 otherwise.
 	var obs serveObs
 	if *serveAddr != "" {
 		obs = newServeObs(*spanRate, []telemetry.SLOObjective{telemetry.BatchSLO()})
 	}
-	obs.mount(mux)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{
-		Addr:    *listen,
-		Handler: hardened(mux),
-		// Bound how long a client may dribble its request headers; without
-		// it an idle connection pins a goroutine forever (slowloris).
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	go protect("http", func() {
-		if err := srv.ListenAndServe(); err != http.ErrServerClosed {
-			fatal(err)
-		}
-	})
-
-	// The batched streaming access API: remote clients (cmd/artload)
-	// stream access/alloc/free batches at the machine alongside the local
-	// replay loop.
-	var accessSrv *serve.Server
+	d := startDaemon(*listen, daemonHandler(sys.ControlHandler(), obs, nil))
 	if *serveAddr != "" {
-		accessSrv = serve.NewServer(serve.Config{
+		d.serveAccess(*serveAddr, serve.Config{
 			Backend:  serve.NewSystemBackend(sys),
 			Registry: sys.Telemetry().Registry,
 			Spans:    obs.spans,
 			StallNs:  sys.ControlBusyNs,
 			SLO:      obs.slo,
-		})
-		go protect("serve", func() {
-			if err := accessSrv.ListenAndServe(*serveAddr); err != nil {
-				fatal(fmt.Errorf("serve: %w", err))
-			}
 		})
 		fmt.Printf("artmemd: streaming access API on %s (drive it with artload)\n", *serveAddr)
 		if obs.spans != nil {
@@ -246,37 +292,17 @@ func main() {
 		// Serve-only mode: no local replay loop, all traffic arrives
 		// through the streaming access API (or not at all).
 		fmt.Println("artmemd: -accesses 0, serve-only mode (no local replay)")
-		<-stop
+		<-d.stop
 	} else {
-		replays := 0
-	loop:
-		for {
-			if !replay(sys, spec, prof, stop) {
-				break loop
-			}
-			replays++
+		for replays := 1; replay(sys.Access, spec, prof, d.stop); replays++ {
 			c := sys.Counters()
-			h := sys.Health()
 			fmt.Printf("replay %d done: DRAM ratio %.3f, %d migrations, %d RL decisions, degraded=%v\n",
-				replays, c.DRAMRatio(), c.Migrations, sys.Policy().Decisions(), h.Degraded)
+				replays, c.DRAMRatio(), c.Migrations, sys.Policy().Decisions(), sys.Health().Degraded)
 		}
 	}
 
-	// Graceful shutdown: flip /healthz to draining (balancers stop
-	// routing here), drain the streaming frontend (every accepted batch
-	// acked or rejected) and in-flight HTTP requests with a deadline,
-	// then stop the background threads and take a final checkpoint.
-	sys.SetDraining(true)
-	if accessSrv != nil {
-		accessSrv.Shutdown()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "artmemd: http drain: %v\n", err)
-	}
 	close(ckptDone)
-	sys.Stop()
+	d.shutdown(sys, *drain)
 	if *ckptPath != "" {
 		if err := sys.SaveQTablesFile(*ckptPath); err != nil {
 			fmt.Fprintf(os.Stderr, "artmemd: final checkpoint failed: %v\n", err)
@@ -287,10 +313,12 @@ func main() {
 	fmt.Println("artmemd: stopped")
 }
 
-// replay runs one pass of the workload, returning false when a stop
-// signal arrived. A panic inside the workload or the access path is
-// recovered so one bad replay cannot take the daemon down.
-func replay(sys *core.System, spec workloads.Spec, prof workloads.Profile, stop <-chan os.Signal) (again bool) {
+// replay runs one pass of the workload through access, returning
+// false when a stop signal arrived. A panic inside the workload or the
+// access path is recovered so one bad replay cannot take the daemon
+// down.
+func replay(access func(addr uint64, write bool), spec workloads.Spec, prof workloads.Profile,
+	stop <-chan os.Signal) (again bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			fmt.Fprintf(os.Stderr, "artmemd: replay panicked (recovered): %v\n", r)
@@ -305,7 +333,7 @@ func replay(sys *core.System, spec workloads.Spec, prof workloads.Profile, stop 
 			return true
 		}
 		for _, a := range b {
-			sys.Access(a.Addr, a.Write)
+			access(a.Addr, a.Write)
 		}
 		select {
 		case <-stop:

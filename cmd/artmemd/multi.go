@@ -1,18 +1,14 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"artmem/internal/core"
@@ -105,9 +101,6 @@ func multiMain(tenantList, arbMode string, prof workloads.Profile, fast, slow, c
 	sys.Start()
 	defer sys.Stop()
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-
 	rep := &replaySet{sys: sys, prof: prof, slotBytes: slotBytes}
 	for i := range names {
 		rep.entries = append(rep.entries, &replayEntry{
@@ -115,8 +108,6 @@ func multiMain(tenantList, arbMode string, prof workloads.Profile, fast, slow, c
 		})
 	}
 
-	mux := http.NewServeMux()
-	mux.Handle("/", sys.ControlHandler())
 	// Serving observability: one SLO slot per tenant slot, batch class
 	// by default — /register?class=latency tightens the new tenant's
 	// objective (handleRegister).
@@ -129,41 +120,19 @@ func multiMain(tenantList, arbMode string, prof workloads.Profile, fast, slow, c
 		obs = newServeObs(spanRate, objectives)
 		rep.slo = obs.slo
 	}
-	obs.mount(mux)
-	mux.HandleFunc("/register", rep.handleRegister)
-	mux.HandleFunc("/deregister", rep.handleDeregister)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{
-		Addr:    listen,
-		Handler: hardened(mux),
-		// See the single-tenant server: slowloris defence.
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	go protect("http", func() {
-		if err := srv.ListenAndServe(); err != http.ErrServerClosed {
-			fatal(err)
-		}
-	})
-
+	d := startDaemon(listen, daemonHandler(sys.ControlHandler(), obs, func(mux *http.ServeMux) {
+		mux.HandleFunc("/register", rep.handleRegister)
+		mux.HandleFunc("/deregister", rep.handleDeregister)
+	}))
 	// The batched streaming access API over the tenant slots: remote
 	// clients address their slot region from 0, the backend rebases.
-	var accessSrv *serve.Server
 	if serveAddr != "" {
-		accessSrv = serve.NewServer(serve.Config{
+		d.serveAccess(serveAddr, serve.Config{
 			Backend:  serve.NewMultiBackend(sys, slotBytes),
 			Registry: sys.Telemetry().Registry,
 			Spans:    obs.spans,
 			StallNs:  sys.ControlBusyNs,
 			SLO:      obs.slo,
-		})
-		go protect("serve", func() {
-			if err := accessSrv.ListenAndServe(serveAddr); err != nil {
-				fatal(fmt.Errorf("serve: %w", err))
-			}
 		})
 		fmt.Printf("artmemd: streaming access API on %s (drive it with artload -tenant N)\n", serveAddr)
 	}
@@ -179,7 +148,7 @@ func multiMain(tenantList, arbMode string, prof workloads.Profile, fast, slow, c
 loop:
 	for {
 		select {
-		case <-stop:
+		case <-d.stop:
 			break loop
 		default:
 		}
@@ -188,17 +157,7 @@ loop:
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-
-	sys.SetDraining(true)
-	if accessSrv != nil {
-		accessSrv.Shutdown()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "artmemd: http drain: %v\n", err)
-	}
-	sys.Stop()
+	d.shutdown(sys, drain)
 	fmt.Println("artmemd: stopped")
 }
 

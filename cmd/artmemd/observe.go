@@ -29,9 +29,10 @@ func newServeObs(spanRate int, objectives []telemetry.SLOObjective) serveObs {
 	return obs
 }
 
-// mount registers the observability endpoints. Mounted unconditionally:
-// a disabled feature answers 404 with a hint, keeping the route surface
-// identical across configurations.
+// mount registers the observability endpoints. Mounted unconditionally
+// by daemonHandler in every daemon mode: a disabled feature answers 404
+// with a hint, keeping the route surface identical across
+// configurations.
 func (o serveObs) mount(mux *http.ServeMux) {
 	mux.HandleFunc("GET /spans", func(w http.ResponseWriter, r *http.Request) {
 		if o.spans == nil {

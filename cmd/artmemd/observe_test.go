@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"artmem/internal/core"
+	"artmem/internal/memsim"
 	"artmem/internal/telemetry"
+	"artmem/internal/tier"
 )
 
 // TestObserveEndpointsDisabled pins the degrade contract: the routes
@@ -119,5 +122,52 @@ func TestRegisterSetsSLOObjective(t *testing.T) {
 	}
 	if rep.Tenants[0].Class != "batch" {
 		t.Errorf("slot 0 objective class = %q, want batch (untouched)", rep.Tenants[0].Class)
+	}
+}
+
+// TestTieredDaemonRoutes pins the N-tier daemon's route set: the same
+// daemonHandler as the other modes, so the chain control surface, the
+// pprof surface and the /spans and /slo 404-with-hint routes are all
+// mounted.
+func TestTieredDaemonRoutes(t *testing.T) {
+	ch, err := tier.ParseChain("DRAM:cap=16/CXL:cap=16/PM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcfg := memsim.DefaultConfig(64*64*1024, 0, 64*1024)
+	mcfg.Chain = ch
+	sys := core.NewTieredSystem(core.TieredSystemConfig{Machine: mcfg})
+	srv := httptest.NewServer(daemonHandler(sys.ControlHandler(), serveObs{}, nil))
+	defer srv.Close()
+
+	for _, c := range []struct {
+		path string
+		code int
+		body string // substring the body must carry
+	}{
+		{"/healthz", http.StatusOK, `"status":"ok"`},
+		{"/tiers", http.StatusOK, `"boundaries"`},
+		{"/stats", http.StatusOK, `"shadow_discards"`},
+		{"/metrics", http.StatusOK, "artmem_sampling_beats_total"},
+		{"/metrics.json", http.StatusOK, "artmem_tier_pages"},
+		{"/trace?n=5", http.StatusOK, ""},
+		{"/debug/pprof/", http.StatusOK, "goroutine"},
+		{"/debug/pprof/cmdline", http.StatusOK, ""},
+		{"/spans", http.StatusNotFound, "disabled"},
+		{"/slo", http.StatusNotFound, "disabled"},
+		{"/tenants", http.StatusNotFound, ""},
+	} {
+		resp, err := srv.Client().Get(srv.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.code {
+			t.Errorf("%s = %d, want %d", c.path, resp.StatusCode, c.code)
+		}
+		if !strings.Contains(string(body), c.body) {
+			t.Errorf("%s body lacks %q:\n%.300s", c.path, c.body, body)
+		}
 	}
 }

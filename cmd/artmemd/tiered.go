@@ -1,12 +1,7 @@
 package main
 
 import (
-	"context"
 	"fmt"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"artmem/internal/core"
@@ -49,73 +44,22 @@ func tieredMain(chainSpec string, nonExclusive bool, budget int,
 	telemetry.RegisterRuntimeMetrics(sys.Telemetry().Registry)
 	sys.Start()
 	defer sys.Stop()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-
-	srv := &http.Server{
-		Addr:              listen,
-		Handler:           hardened(sys.ControlHandler()),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	go protect("http", func() {
-		if err := srv.ListenAndServe(); err != http.ErrServerClosed {
-			fatal(err)
-		}
-	})
+	// No streaming access API in this mode: /spans and /slo answer 404
+	// with a hint, as on any daemon started without -serve.
+	d := startDaemon(listen, daemonHandler(sys.ControlHandler(), serveObs{}, nil))
 
 	fmt.Printf("artmemd: build %s\n", build)
 	fmt.Printf("artmemd: %d-tier chain %s (%d boundary agents, non-exclusive=%v)\n",
 		len(ch), chainSpec, sys.NumBoundaries(), nonExclusive)
-	fmt.Printf("artmemd: serving /tiers, /stats, /metrics, /healthz on http://%s\n", listen)
+	fmt.Printf("artmemd: serving /tiers, /stats, /metrics, /healthz on http://%s; profiling at /debug/pprof/\n", listen)
 	fmt.Printf("artmemd: replaying %s (%d MB) in a loop; SIGINT/SIGTERM to stop\n",
 		name, foot>>20)
 
-	replays := 0
-loop:
-	for {
-		if !tieredReplay(sys, spec, prof, stop) {
-			break loop
-		}
-		replays++
+	for replays := 1; replay(sys.Access, spec, prof, d.stop); replays++ {
 		c := sys.Counters()
 		fmt.Printf("replay %d done: DRAM ratio %.3f, %d migrations, %d shadow discards\n",
 			replays, c.DRAMRatio(), c.Migrations, c.ShadowDiscards)
 	}
-
-	sys.SetDraining(true)
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "artmemd: http drain: %v\n", err)
-	}
-	sys.Stop()
+	d.shutdown(sys, drain)
 	fmt.Println("artmemd: stopped")
-}
-
-// tieredReplay mirrors replay for the chain runtime.
-func tieredReplay(sys *core.TieredSystem, spec workloads.Spec, prof workloads.Profile,
-	stop <-chan os.Signal) (again bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprintf(os.Stderr, "artmemd: replay panicked (recovered): %v\n", r)
-			again = true
-		}
-	}()
-	w := spec.New(prof)
-	defer w.Close()
-	for {
-		b, ok := w.Next()
-		if !ok {
-			return true
-		}
-		for _, a := range b {
-			sys.Access(a.Addr, a.Write)
-		}
-		select {
-		case <-stop:
-			return false
-		default:
-		}
-	}
 }

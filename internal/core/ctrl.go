@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 )
 
 // This file exposes the paper's §5 "interaction channels for environment
@@ -32,8 +30,7 @@ import (
 //	GET /healthz                 ok/degraded/draining liveness for balancers
 //	                             (JSON; draining answers 503)
 func (s *System) ControlHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", healthzHandler(s))
+	mux := newControlMux(&s.loop, s.tel.Registry)
 	mux.HandleFunc("GET /memory.hit_ratio_show", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		fast, slow := s.pol.sampler.PeekWindowCounts()
@@ -67,8 +64,7 @@ func (s *System) ControlHandler() http.Handler {
 		s.mu.Unlock()
 		fs := s.pol.FaultStats()
 		h := s.Health()
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(struct {
+		writeJSON(w, struct {
 			VirtualNs     int64   `json:"virtual_ns"`
 			FastAccesses  uint64  `json:"fast_accesses"`
 			SlowAccesses  uint64  `json:"slow_accesses"`
@@ -113,25 +109,10 @@ func (s *System) ControlHandler() http.Handler {
 			Panics:             h.Panics,
 		})
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		// The registry's pull closures lock s.mu themselves; this handler
-		// must not hold it (see internal/core/telemetry.go).
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.tel.Registry.WritePrometheus(w)
-	})
-	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.tel.Registry.Snapshot())
-	})
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
-		n := 0 // everything retained
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			n = v
+		n, ok := queryInt(w, r, "n", 0) // 0: everything retained
+		if !ok {
+			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		s.tel.Trace.WriteJSONL(w, n)
@@ -145,33 +126,22 @@ func (s *System) ControlHandler() http.Handler {
 				http.StatusNotFound)
 			return
 		}
-		n := 0
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			n = v
+		n, ok := queryInt(w, r, "n", 0)
+		if !ok {
+			return
 		}
-		page := int64(-1)
-		if q := r.URL.Query().Get("page"); q != "" {
-			v, err := strconv.ParseInt(q, 10, 64)
-			if err != nil || v < 0 {
-				http.Error(w, "bad page", http.StatusBadRequest)
-				return
-			}
-			page = v
+		page, ok := queryInt(w, r, "page", -1)
+		if !ok {
+			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		pt.WriteJSONL(w, n, page)
+		pt.WriteJSONL(w, n, int64(page))
 	})
 	mux.HandleFunc("GET /qtable", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		rep := s.pol.QTableReport()
 		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(rep)
+		writeJSON(w, rep)
 	})
 	return mux
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"encoding/json"
-	"net/http"
-	"strconv"
-)
+import "net/http"
 
 // ControlHandler returns an http.Handler exposing the multi-tenant
 // control plane:
@@ -25,11 +21,9 @@ import (
 // (cmd/artmon) treat a 404 there as "not a multi-tenant daemon" and
 // degrade gracefully.
 func (s *MultiSystem) ControlHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", healthzHandler(s))
+	mux := newControlMux(&s.loop, s.tel.Registry)
 	mux.HandleFunc("GET /tenants", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.TenantsReport())
+		writeJSON(w, s.TenantsReport())
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
@@ -74,37 +68,20 @@ func (s *MultiSystem) ControlHandler() http.Handler {
 			st := s.injector.Stats()
 			payload.Faults = &st
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(payload)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		// The registry's pull closures lock s.mu themselves; this handler
-		// must not hold it (see internal/core/telemetry.go).
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.tel.Registry.WritePrometheus(w)
-	})
-	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.tel.Registry.Snapshot())
+		writeJSON(w, payload)
 	})
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
-		tenant := 0
-		if q := r.URL.Query().Get("tenant"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 || v >= len(s.agents) {
-				http.Error(w, "bad tenant", http.StatusBadRequest)
-				return
-			}
-			tenant = v
+		tenant, ok := queryInt(w, r, "tenant", 0)
+		if !ok {
+			return
 		}
-		n := 0
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			n = v
+		if tenant >= len(s.agents) {
+			http.Error(w, "bad tenant", http.StatusBadRequest)
+			return
+		}
+		n, ok := queryInt(w, r, "n", 0)
+		if !ok {
+			return
 		}
 		s.mu.Lock()
 		a := s.agents[tenant]

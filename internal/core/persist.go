@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"path/filepath"
 
 	"artmem/internal/rl"
 )
@@ -43,12 +45,12 @@ func (a *ArtMem) SaveQTables(w io.Writer) error {
 }
 
 // RestoreQTables loads a snapshot written by SaveQTables into the
-// attached agent. Table dimensions must match the agent's configuration.
-// The restore is transactional: both tables are decoded and validated
-// into staging copies first, and the live tables are only overwritten
-// once the entire snapshot has parsed — a truncated or corrupted
-// snapshot returns a descriptive error and leaves the agent's learning
-// state untouched.
+// attached agent. Table dimensions must match the agent's configuration,
+// and every Q value must be finite. The restore is transactional: both
+// tables are decoded and validated into staging copies first, and the
+// live tables are only overwritten once the entire snapshot has parsed
+// — a truncated, corrupted, or NaN/Inf-poisoned snapshot returns a
+// descriptive error and leaves the agent's learning state untouched.
 func (a *ArtMem) RestoreQTables(r io.Reader) error {
 	if a.qMig == nil {
 		return fmt.Errorf("core: agent not attached; nowhere to restore")
@@ -78,6 +80,14 @@ func (a *ArtMem) RestoreQTables(r io.Reader) error {
 		if err := tmp.UnmarshalBinary(data); err != nil {
 			return fmt.Errorf("core: snapshot table %d: %w", i, err)
 		}
+		cfg := tmp.Config()
+		for st := 0; st < cfg.States; st++ {
+			for ac := 0; ac < cfg.Actions; ac++ {
+				if q := tmp.Q(st, ac); math.IsNaN(q) || math.IsInf(q, 0) {
+					return fmt.Errorf("core: snapshot table %d: non-finite Q(%d,%d) = %g", i, st, ac, q)
+				}
+			}
+		}
 		staged[i] = tmp
 	}
 	// Commit: every table parsed and matched dimensions.
@@ -89,14 +99,44 @@ func (a *ArtMem) RestoreQTables(r io.Reader) error {
 	return nil
 }
 
-// SaveQTablesFile writes the snapshot to path.
-func (a *ArtMem) SaveQTablesFile(path string) error {
+// SaveQTablesFile writes the snapshot to path atomically: the bytes go
+// to a temporary file in the same directory, which is synced, closed,
+// and renamed over path. A crash or error mid-save leaves any previous
+// checkpoint at path intact, and the temporary file is removed on
+// every failure path.
+func (a *ArtMem) SaveQTablesFile(path string) (err error) {
 	var buf bytes.Buffer
 	if err := a.SaveQTables(&buf); err != nil {
 		return err
 	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if _, err = f.Write(buf.Bytes()); err != nil {
+		return err
+	}
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = syncFile(f); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
+
+// syncFile is SaveQTablesFile's durability barrier; tests swap it to
+// inject a failure between writing the temporary file and renaming it.
+var syncFile = (*os.File).Sync
 
 // RestoreQTablesFile loads a snapshot from path.
 func (a *ArtMem) RestoreQTablesFile(path string) error {

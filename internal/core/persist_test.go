@@ -3,9 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"artmem/internal/rl"
 )
 
 func TestQTableSnapshotRoundTrip(t *testing.T) {
@@ -184,4 +189,102 @@ func TestRestoreLeavesLiveTablesUntouchedOnCorruption(t *testing.T) {
 			t.Error("valid restore did not apply")
 		}
 	})
+}
+
+// TestRestoreRejectsNonFiniteQ pins the finiteness check: a snapshot
+// carrying a NaN or ±Inf Q value in either table is refused, and the
+// live tables stay exactly as they were.
+func TestRestoreRejectsNonFiniteQ(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		table int
+		v     float64
+	}{
+		{"nan-migration-table", 0, math.NaN()},
+		{"inf-threshold-table", 1, math.Inf(1)},
+		{"neg-inf-migration-table", 0, math.Inf(-1)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			src := New(Config{})
+			src.Attach(testMachine(16))
+			sm, st := src.QTables()
+			[]*rl.Table{sm, st}[c.table].SetQ(3, 1, c.v)
+			var buf bytes.Buffer
+			if err := src.SaveQTables(&buf); err != nil {
+				t.Fatal(err)
+			}
+
+			a := New(Config{})
+			a.Attach(testMachine(16))
+			am, at := a.QTables()
+			am.SetQ(5, 5, 42)
+			at.SetQ(3, 2, -7)
+			before := [][]byte{mustMarshal(t, am), mustMarshal(t, at)}
+			err := a.RestoreQTables(bytes.NewReader(buf.Bytes()))
+			if err == nil || !strings.Contains(err.Error(), "non-finite") {
+				t.Fatalf("poisoned snapshot: err = %v, want a non-finite refusal", err)
+			}
+			for i, tb := range []*rl.Table{am, at} {
+				if !bytes.Equal(mustMarshal(t, tb), before[i]) {
+					t.Errorf("table %d changed by a refused restore", i)
+				}
+			}
+		})
+	}
+}
+
+func mustMarshal(t *testing.T, tb *rl.Table) []byte {
+	t.Helper()
+	b, err := tb.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestSaveFailureKeepsCheckpoint pins the atomic save: when a save
+// fails after its temporary file was written, the existing checkpoint
+// stays byte-identical and no temporary file is left behind.
+func TestSaveFailureKeepsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "qtables.bin")
+	a := New(Config{})
+	a.Attach(testMachine(16))
+	if err := a.SaveQTablesFile(path); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mig, _ := a.QTables()
+	mig.SetQ(1, 1, 9) // the next snapshot differs from the saved one
+	injected := errors.New("injected sync failure")
+	syncFile = func(*os.File) error { return injected }
+	defer func() { syncFile = (*os.File).Sync }()
+	if err := a.SaveQTablesFile(path); !errors.Is(err, injected) {
+		t.Fatalf("save with a failing sync: err = %v, want the injected failure", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, good) {
+		t.Error("failed save modified the existing checkpoint")
+	}
+	// An unattached agent fails before touching the disk at all.
+	if err := New(Config{}).SaveQTablesFile(path); err == nil {
+		t.Error("unattached agent saved a checkpoint")
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, good) {
+		t.Error("failed unattached save modified the existing checkpoint")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Errorf("directory holds %v after failed saves, want only the checkpoint", names)
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"sort"
-	"strconv"
 
 	"artmem/internal/memsim"
 	"artmem/internal/telemetry"
@@ -100,11 +99,9 @@ func (s *TieredSystem) TiersStatus() TiersReport {
 // thresholds) are visible through /tiers rather than the two-tier
 // pseudo-file endpoints, which assume a single agent.
 func (s *TieredSystem) ControlHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", healthzHandler(s))
+	mux := newControlMux(&s.loop, s.tel.Registry)
 	mux.HandleFunc("GET /tiers", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.TiersStatus())
+		writeJSON(w, s.TiersStatus())
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
@@ -112,8 +109,7 @@ func (s *TieredSystem) ControlHandler() http.Handler {
 		now := s.m.Now()
 		s.mu.Unlock()
 		h := s.Health()
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(struct {
+		writeJSON(w, struct {
 			VirtualNs         int64   `json:"virtual_ns"`
 			FastAccesses      uint64  `json:"fast_accesses"`
 			SlowAccesses      uint64  `json:"slow_accesses"`
@@ -147,24 +143,10 @@ func (s *TieredSystem) ControlHandler() http.Handler {
 			Panics:            h.Panics,
 		})
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		// Pull closures lock s.mu themselves; the handler must not hold it.
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.tel.Registry.WritePrometheus(w)
-	})
-	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.tel.Registry.Snapshot())
-	})
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
-		n := 0 // everything retained
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			n = v
+		n, ok := queryInt(w, r, "n", 0) // 0: everything retained
+		if !ok {
+			return
 		}
 		// Each boundary agent records into its private trace ring; the
 		// drain merges them on the shared virtual clock. Per-ring seqs

@@ -53,7 +53,7 @@ func chainMachineConfig(foot int64, cfg Config) (memsim.Config, Config) {
 // TierChain) with one two-tier policy agent per tier boundary,
 // decomposed through a memsim.BoundaryHub. mk constructs boundary b's
 // agent — callers decorrelate seeds per boundary there, the way
-// ShardedSystem offsets per-shard seeds. The replay loop, purity
+// core.TieredSystem offsets per-boundary seeds. The replay loop, purity
 // contract, and Result semantics match Run; Result.Tiers additionally
 // carries the per-tier occupancy and per-boundary migration outcome.
 //

@@ -469,7 +469,8 @@ func TestChainInvariantViolationsDetected(t *testing.T) {
 // TestConcurrentChainShadowMigration extends the -race property test to
 // the chain machine: goroutines hammer a 3-tier non-exclusive sharded
 // machine with access batches (writes invalidate shadows) while the main
-// goroutine performs cross-tier migrations, and a Quiesce barrier
+// goroutine performs cross-tier migrations under the owning shard's
+// lock (RunShardOf), and a Quiesce barrier
 // asserts CheckInvariants — which now recounts shadow frames per tier —
 // after every round.
 func TestConcurrentChainShadowMigration(t *testing.T) {
@@ -519,12 +520,16 @@ func TestConcurrentChainShadowMigration(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			v := r.next()
 			p := PageID(v % uint64(sm.NumPages()))
-			cur := sm.TierOf(p)
-			if v&1 == 0 && cur > 0 {
-				sm.MovePage(p, cur-1)
-			} else if int(cur) < sm.Tiers()-1 {
-				sm.MovePage(p, cur+1)
-			}
+			// The facade's TierOf/MovePage are lock-free; migrate under
+			// the owning shard's lock while the writers run.
+			sm.RunShardOf(p, func(m *Machine, local PageID) {
+				cur := m.TierOf(local)
+				if v&1 == 0 && cur > 0 {
+					m.MovePage(local, cur-1)
+				} else if int(cur) < m.Tiers()-1 {
+					m.MovePage(local, cur+1)
+				}
+			})
 		}
 		check(round)
 	}

@@ -574,22 +574,6 @@ func (m *Machine) reclaimShadow(t TierID) bool {
 // free capacity.
 var ErrTierFull = errors.New("memsim: destination tier full")
 
-// AdjustCapacity grows (delta > 0) or shrinks (delta < 0) tier t's
-// capacity by delta pages. A shrink that would strand resident pages
-// (capacity below current use) is refused with an error wrapping
-// ErrTierFull and leaves the machine unchanged. This is the primitive
-// the sharded machine's cross-shard capacity-transfer transactions are
-// built from; it never moves pages, only the budget they count against.
-func (m *Machine) AdjustCapacity(t TierID, delta int) error {
-	nc := m.cap[t] + delta
-	if nc < m.used[t] {
-		return fmt.Errorf("memsim: cannot shrink %s capacity to %d with %d pages resident: %w",
-			t, nc, m.used[t], ErrTierFull)
-	}
-	m.cap[t] = nc
-	return nil
-}
-
 // ErrNotAllocated is returned by MovePage for pages never touched.
 var ErrNotAllocated = errors.New("memsim: page not allocated")
 

@@ -1,7 +1,6 @@
 package memsim
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -22,9 +21,9 @@ import (
 // Concurrency contract, in two halves:
 //
 //   - The data plane — Access, AccessBatch, AccessBatchTenant,
-//     AccessBatchParallel, RunShard, RunShardOf, TransferCapacity,
-//     BorrowMovePage, BeginPeriod, Quiesce — takes the per-shard locks
-//     and is safe to drive from any number of goroutines.
+//     AccessBatchParallel, RunShard, RunShardOf, Quiesce — takes the
+//     per-shard locks and is safe to drive from any number of
+//     goroutines.
 //   - The control plane — every other method, including the whole
 //     memsim.Env surface — is deliberately lock-free, mirroring
 //     Machine's single-threaded contract, so a policy hook fired
@@ -51,20 +50,6 @@ type ShardedMachine struct {
 	shards []*Machine
 	mu     []paddedMutex
 
-	// epoch[s] counts cross-shard transactions shard s participated in
-	// (capacity transfers and borrowed moves). Guarded by mu[s].
-	epoch []uint64
-	// borrowLeft[s] is shard s's remaining cross-shard borrow budget
-	// this control period — the per-shard arbiter admission counter
-	// (TierBPF-style: a shard may only pull capacity toward itself
-	// while it has budget). Guarded by mu[s].
-	borrowLeft []int
-
-	// origCap pins the machine-wide capacity totals at construction
-	// (one entry per tier of the chain); capacity transfers conserve
-	// them and CheckInvariants recounts.
-	origCap []int
-
 	splitPool sync.Pool // *splitScratch, sized to nshards
 }
 
@@ -81,16 +66,6 @@ type splitScratch struct {
 	addrs  [][]uint64
 	writes [][]bool
 }
-
-// Cross-shard transaction errors.
-var (
-	// ErrBorrowBudget reports a cross-shard capacity borrow denied
-	// because the pulling shard exhausted its per-period budget.
-	ErrBorrowBudget = errors.New("memsim: shard borrow budget exhausted")
-	// ErrNoDonor reports a borrow attempt that found no shard with
-	// spare capacity to lend.
-	ErrNoDonor = errors.New("memsim: no shard has spare capacity to lend")
-)
 
 // NewShardedMachine builds a machine partitioned into nshards shards.
 // It panics when nshards is not a positive power of two or exceeds the
@@ -125,8 +100,6 @@ func NewShardedMachine(cfg Config, nshards int) *ShardedMachine {
 	}
 	sm.shards = make([]*Machine, nshards)
 	sm.mu = make([]paddedMutex, nshards)
-	sm.epoch = make([]uint64, nshards)
-	sm.borrowLeft = make([]int, nshards)
 	if nshards == 1 {
 		// Compatibility mode: the one shard IS the seed machine.
 		sm.shards[0] = NewMachine(cfg)
@@ -179,17 +152,6 @@ func NewShardedMachine(cfg Config, nshards int) *ShardedMachine {
 			scfg.CacheLines = lines/nshards + extra(lines, nshards, s)
 			sm.shards[s] = NewMachine(scfg)
 		}
-	}
-	sm.origCap = make([]int, sm.shards[0].Tiers())
-	for t := range sm.origCap {
-		for _, m := range sm.shards {
-			sm.origCap[t] += m.CapacityPages(TierID(t))
-		}
-	}
-	// Until a control plane installs per-period budgets (BeginPeriod),
-	// borrowing is effectively unmetered.
-	for s := range sm.borrowLeft {
-		sm.borrowLeft[s] = total
 	}
 	sm.splitPool.New = func() any {
 		return &splitScratch{
@@ -388,9 +350,9 @@ func (sm *ShardedMachine) replayShard(s int, t TenantID, addrs []uint64, writes 
 }
 
 // RunShard runs f on shard s's inner machine under the shard lock —
-// the primitive per-shard control planes (core.ShardedSystem) build
-// their sampling and migration passes on. f must not call back into
-// any ShardedMachine locking method.
+// the primitive a per-shard control plane builds its sampling and
+// migration passes on. f must not call back into any ShardedMachine
+// locking method.
 func (sm *ShardedMachine) RunShard(s int, f func(m *Machine)) {
 	sm.mu[s].Lock()
 	defer sm.mu[s].Unlock()
@@ -419,160 +381,6 @@ func (sm *ShardedMachine) Quiesce(f func()) {
 		}
 	}()
 	f()
-}
-
-// ShardEpoch returns shard s's cross-shard transaction epoch.
-func (sm *ShardedMachine) ShardEpoch(s int) uint64 {
-	sm.mu[s].Lock()
-	defer sm.mu[s].Unlock()
-	return sm.epoch[s]
-}
-
-// BeginPeriod starts a cross-shard control period: every shard's
-// borrow budget is reset to n pages. The migration control plane calls
-// this once per decision period, making capacity borrowing a metered,
-// per-shard-admission-controlled operation rather than a free-for-all.
-func (sm *ShardedMachine) BeginPeriod(n int) {
-	for s := 0; s < sm.nshards; s++ {
-		sm.mu[s].Lock()
-		sm.borrowLeft[s] = n
-		sm.mu[s].Unlock()
-	}
-}
-
-// SetShardBudget is BeginPeriod's per-shard form: it sets shard s's
-// remaining borrow budget for the current period. Control planes that
-// split a machine-wide budget by demand (tenancy.SplitBudget) install
-// the shares with this.
-func (sm *ShardedMachine) SetShardBudget(s, n int) {
-	sm.mu[s].Lock()
-	sm.borrowLeft[s] = n
-	sm.mu[s].Unlock()
-}
-
-// ShardBudget returns shard s's remaining borrow budget.
-func (sm *ShardedMachine) ShardBudget(s int) int {
-	sm.mu[s].Lock()
-	defer sm.mu[s].Unlock()
-	return sm.borrowLeft[s]
-}
-
-// lockPair locks two distinct shards in ascending index order (the
-// deadlock-freedom rule: every multi-shard lock acquisition in this
-// file is ascending, and single-shard holders never take a second).
-func (sm *ShardedMachine) lockPair(a, b int) {
-	if a > b {
-		a, b = b, a
-	}
-	sm.mu[a].Lock()
-	sm.mu[b].Lock()
-}
-
-func (sm *ShardedMachine) unlockPair(a, b int) {
-	if a > b {
-		a, b = b, a
-	}
-	sm.mu[b].Unlock()
-	sm.mu[a].Unlock()
-}
-
-// TransferCapacity moves n pages of tier t capacity from shard `from`
-// to shard `to` as one epoch-bumping transaction: both shards are
-// locked (quiescing them), the donor's capacity is shrunk — refused
-// outright if that would strand resident pages — and the recipient's
-// grown. The recipient spends n of its borrow budget. Machine-wide
-// capacity is conserved exactly.
-func (sm *ShardedMachine) TransferCapacity(from, to int, t TierID, n int) error {
-	if from == to || n <= 0 {
-		return fmt.Errorf("memsim: bad capacity transfer %d→%d n=%d", from, to, n)
-	}
-	sm.lockPair(from, to)
-	defer sm.unlockPair(from, to)
-	if sm.borrowLeft[to] < n {
-		return ErrBorrowBudget
-	}
-	if err := sm.shards[from].AdjustCapacity(t, -n); err != nil {
-		return err
-	}
-	if err := sm.shards[to].AdjustCapacity(t, n); err != nil {
-		// Roll the donor back; growing it again cannot fail.
-		sm.shards[from].AdjustCapacity(t, n)
-		return err
-	}
-	sm.borrowLeft[to] -= n
-	sm.epoch[from]++
-	sm.epoch[to]++
-	return nil
-}
-
-// BorrowMovePage migrates global page p to tier dst even when p's own
-// shard has no free dst capacity, by borrowing one page of capacity
-// from the shard with the most spare dst capacity. The whole move is
-// one transaction under both shards' locks: capacity transfers in,
-// the page moves, and any failure rolls the capacity back so the
-// machine-wide total is conserved on every path. The borrowing shard
-// spends one unit of its budget only when the move commits.
-func (sm *ShardedMachine) BorrowMovePage(p PageID, dst TierID) error {
-	s := sm.ShardOf(p)
-	lp := p >> sm.log2
-	if sm.nshards == 1 {
-		sm.mu[0].Lock()
-		defer sm.mu[0].Unlock()
-		return sm.shards[0].MovePage(p, dst)
-	}
-
-	// Fast path: the home shard has room (or the page is already there).
-	sm.mu[s].Lock()
-	if sm.shards[s].FreePages(dst) > 0 || sm.shards[s].TierOf(lp) == dst {
-		err := sm.shards[s].MovePage(lp, dst)
-		sm.mu[s].Unlock()
-		return err
-	}
-	// Donor selection: scan the other shards one lock at a time (never
-	// holding two during the scan) for the one with the most spare dst
-	// capacity; the choice is advisory and rechecked under the pair lock.
-	sm.mu[s].Unlock()
-	donor, best := -1, 0
-	for d := 0; d < sm.nshards; d++ {
-		if d == s {
-			continue
-		}
-		sm.mu[d].Lock()
-		free := sm.shards[d].FreePages(dst)
-		sm.mu[d].Unlock()
-		if free > best {
-			donor, best = d, free
-		}
-	}
-	if donor < 0 {
-		return ErrNoDonor
-	}
-
-	sm.lockPair(s, donor)
-	defer sm.unlockPair(s, donor)
-	if sm.borrowLeft[s] < 1 {
-		return ErrBorrowBudget
-	}
-	if sm.shards[donor].FreePages(dst) < 1 {
-		return ErrNoDonor // donor filled up between the scan and the lock
-	}
-	if err := sm.shards[donor].AdjustCapacity(dst, -1); err != nil {
-		return err
-	}
-	if err := sm.shards[s].AdjustCapacity(dst, 1); err != nil {
-		sm.shards[donor].AdjustCapacity(dst, 1)
-		return err
-	}
-	if err := sm.shards[s].MovePage(lp, dst); err != nil {
-		// Rollback: return the borrowed capacity to the donor.
-		sm.shards[s].AdjustCapacity(dst, -1)
-		sm.shards[donor].AdjustCapacity(dst, 1)
-		return err
-	}
-	sm.borrowLeft[s]--
-	sm.epoch[s]++
-	sm.epoch[donor]++
-	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -677,8 +485,7 @@ func (sm *ShardedMachine) UsedPages(t TierID) int {
 
 // FreePages returns the remaining tier-t capacity across all shards.
 // A policy can see aggregate free space that no single shard has;
-// local MovePage then fails with ErrTierFull and the caller escalates
-// to BorrowMovePage (or a control-plane rebalance).
+// local MovePage then fails with ErrTierFull.
 func (sm *ShardedMachine) FreePages(t TierID) int {
 	n := 0
 	for _, m := range sm.shards {
@@ -700,7 +507,7 @@ func (sm *ShardedMachine) CapacityPages(t TierID) int {
 // background path. It does not borrow capacity: a shard-full result
 // surfaces as ErrTierFull even when other shards have room, so the
 // single-threaded policy surface stays hook-reentrant (see the
-// concurrency contract). BorrowMovePage is the cross-shard escalation.
+// concurrency contract).
 func (sm *ShardedMachine) MovePage(p PageID, dst TierID) error {
 	return sm.shards[sm.ShardOf(p)].MovePage(p>>sm.log2, dst)
 }
@@ -924,26 +731,13 @@ func (sm *ShardedMachine) FreePage(p PageID) error {
 	return sm.shards[sm.ShardOf(p)].FreePage(p >> sm.log2)
 }
 
-// CheckInvariants verifies every shard's page accounting plus the
-// cross-shard conservation law: capacity transfers move capacity
-// between shards but the machine-wide per-tier totals must equal the
-// constructed totals on every path (commit and rollback alike). Like
+// CheckInvariants verifies every shard's page accounting. Like
 // Machine.CheckInvariants it reads without locking — quiesce first
 // (Quiesce) when access goroutines are running.
 func (sm *ShardedMachine) CheckInvariants() error {
 	for s, m := range sm.shards {
 		if err := m.CheckInvariants(); err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
-		}
-	}
-	for t := range sm.origCap {
-		total := 0
-		for _, m := range sm.shards {
-			total += m.CapacityPages(TierID(t))
-		}
-		if total != sm.origCap[t] {
-			return fmt.Errorf("memsim: %s capacity not conserved: %d != %d",
-				sm.shards[0].TierName(TierID(t)), total, sm.origCap[t])
 		}
 	}
 	return nil

@@ -206,9 +206,24 @@ func percentile(latNs []float64, p float64) time.Duration {
 
 // pending tracks unresolved batch payloads for retry mode.
 type pending struct {
-	mu     sync.Mutex
-	bySeq  map[uint64]payload
+	mu    sync.Mutex
+	bySeq map[uint64]payload
+	// early holds resolutions that arrived before send recorded the
+	// batch's payload: the server can answer before SendAccessBatch
+	// returns the sequence number.
+	early  map[uint64]byte
 	retryq []payload
+}
+
+// resolve settles one batch's outcome. Only backpressure sheds retry;
+// hard rejects (bad tenant, draining) stay shed. Retries give up after
+// 50 attempts so an unrecoverable overload cannot spin forever. Caller
+// holds mu.
+func (pd *pending) resolve(p payload, code byte) {
+	if code == CodeOverloaded && p.attempts < 50 {
+		p.attempts++
+		pd.retryq = append(pd.retryq, p)
+	}
 }
 
 type payload struct {
@@ -242,17 +257,14 @@ func runClient(cfg LoadConfig, spec workloads.Spec, i int) (ClientStats, error) 
 		IdleTimeout: cfg.IdleTimeout,
 	}
 	if cfg.Retry {
-		pend = &pending{bySeq: make(map[uint64]payload)}
+		pend = &pending{bySeq: make(map[uint64]payload), early: make(map[uint64]byte)}
 		ccfg.OnResolve = func(seq uint64, code byte, _ float64) {
 			pend.mu.Lock()
-			p, ok := pend.bySeq[seq]
-			delete(pend.bySeq, seq)
-			// Only backpressure sheds retry; hard rejects (bad tenant,
-			// draining) stay shed. Give up after 50 attempts so an
-			// unrecoverable overload cannot spin forever.
-			if ok && code == CodeOverloaded && p.attempts < 50 {
-				p.attempts++
-				pend.retryq = append(pend.retryq, p)
+			if p, ok := pend.bySeq[seq]; ok {
+				delete(pend.bySeq, seq)
+				pend.resolve(p, code)
+			} else {
+				pend.early[seq] = code
 			}
 			pend.mu.Unlock()
 		}
@@ -277,8 +289,14 @@ func runClient(cfg LoadConfig, spec workloads.Spec, i int) (ClientStats, error) 
 			return err
 		}
 		if pend != nil {
+			p := payload{addrs: addrs, writes: writes, attempts: attempts}
 			pend.mu.Lock()
-			pend.bySeq[seq] = payload{addrs: addrs, writes: writes, attempts: attempts}
+			if code, ok := pend.early[seq]; ok {
+				delete(pend.early, seq)
+				pend.resolve(p, code)
+			} else {
+				pend.bySeq[seq] = p
+			}
 			pend.mu.Unlock()
 		}
 		return nil
