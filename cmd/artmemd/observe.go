@@ -2,8 +2,8 @@ package main
 
 import (
 	"net/http"
-	"strconv"
 
+	"artmem/internal/core"
 	"artmem/internal/telemetry"
 )
 
@@ -39,23 +39,13 @@ func (o serveObs) mount(mux *http.ServeMux) {
 			http.Error(w, "span journal disabled (enable with -serve and -spans N)", http.StatusNotFound)
 			return
 		}
-		n := 0
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			n = v
+		n, ok := core.QueryInt(w, r, "n", 0) // 0: everything retained
+		if !ok {
+			return
 		}
-		tenant := -1
-		if q := r.URL.Query().Get("tenant"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 {
-				http.Error(w, "bad tenant", http.StatusBadRequest)
-				return
-			}
-			tenant = v
+		tenant, ok := core.QueryInt(w, r, "tenant", -1) // -1: every tenant
+		if !ok {
+			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		o.spans.WriteJSONL(w, n, tenant)

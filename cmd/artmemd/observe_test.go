@@ -85,9 +85,22 @@ func TestObserveEndpointsEnabled(t *testing.T) {
 	if _, body, _ := get("/spans?n=1"); !strings.Contains(body, `"seq":2`) {
 		t.Errorf("tail limit did not keep the newest span:\n%s", body)
 	}
-	for _, bad := range []string{"/spans?n=x", "/spans?n=-1", "/spans?tenant=x"} {
-		if code, _, _ := get(bad); code != http.StatusBadRequest {
-			t.Errorf("%s = %d, want 400", bad, code)
+	// Parameter errors answer 400 with the shared parser's body; absent
+	// parameters default to every span (n=0) of every tenant (-1).
+	for _, c := range []struct{ path, body string }{
+		{"/spans?n=x", "bad n\n"},
+		{"/spans?n=-1", "bad n\n"},
+		{"/spans?tenant=x", "bad tenant\n"},
+		{"/spans?tenant=-2", "bad tenant\n"},
+		{"/spans?n=1&tenant=x", "bad tenant\n"},
+	} {
+		if code, body, _ := get(c.path); code != http.StatusBadRequest || body != c.body {
+			t.Errorf("%s = %d %q, want 400 %q", c.path, code, body, c.body)
+		}
+	}
+	for _, path := range []string{"/spans?n=0", "/spans?n=", "/spans?tenant="} {
+		if code, body, _ := get(path); code != 200 || strings.Count(body, "\n") != 2 {
+			t.Errorf("%s = %d, want both spans:\n%s", path, code, body)
 		}
 	}
 

@@ -110,7 +110,7 @@ func (s *System) ControlHandler() http.Handler {
 		})
 	})
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
-		n, ok := queryInt(w, r, "n", 0) // 0: everything retained
+		n, ok := QueryInt(w, r, "n", 0) // 0: everything retained
 		if !ok {
 			return
 		}
@@ -126,11 +126,11 @@ func (s *System) ControlHandler() http.Handler {
 				http.StatusNotFound)
 			return
 		}
-		n, ok := queryInt(w, r, "n", 0)
+		n, ok := QueryInt(w, r, "n", 0)
 		if !ok {
 			return
 		}
-		page, ok := queryInt(w, r, "page", -1)
+		page, ok := QueryInt(w, r, "page", -1)
 		if !ok {
 			return
 		}

@@ -83,10 +83,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// queryInt parses the optional non-negative integer query parameter
+// QueryInt parses the optional non-negative integer query parameter
 // key, returning def when it is absent. A malformed value answers 400
-// "bad <key>" and reports ok=false.
-func queryInt(w http.ResponseWriter, r *http.Request, key string, def int) (v int, ok bool) {
+// "bad <key>" and reports ok=false. Every control and observability
+// handler shares it, so their parameter errors read the same.
+func QueryInt(w http.ResponseWriter, r *http.Request, key string, def int) (v int, ok bool) {
 	q := r.URL.Query().Get(key)
 	if q == "" {
 		return def, true

@@ -71,7 +71,7 @@ func (s *MultiSystem) ControlHandler() http.Handler {
 		writeJSON(w, payload)
 	})
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
-		tenant, ok := queryInt(w, r, "tenant", 0)
+		tenant, ok := QueryInt(w, r, "tenant", 0)
 		if !ok {
 			return
 		}
@@ -79,7 +79,7 @@ func (s *MultiSystem) ControlHandler() http.Handler {
 			http.Error(w, "bad tenant", http.StatusBadRequest)
 			return
 		}
-		n, ok := queryInt(w, r, "n", 0)
+		n, ok := QueryInt(w, r, "n", 0)
 		if !ok {
 			return
 		}

@@ -46,10 +46,11 @@ func (a *ArtMem) SaveQTables(w io.Writer) error {
 
 // RestoreQTables loads a snapshot written by SaveQTables into the
 // attached agent. Table dimensions must match the agent's configuration,
-// and every Q value must be finite. The restore is transactional: both
-// tables are decoded and validated into staging copies first, and the
-// live tables are only overwritten once the entire snapshot has parsed
-// — a truncated, corrupted, or NaN/Inf-poisoned snapshot returns a
+// every Q value must be finite, and nothing may follow the second
+// table. The restore is transactional: both tables are decoded and
+// validated into staging copies first, and the live tables are only
+// overwritten once the entire snapshot has parsed — a truncated,
+// corrupted, NaN/Inf-poisoned or over-long snapshot returns a
 // descriptive error and leaves the agent's learning state untouched.
 func (a *ArtMem) RestoreQTables(r io.Reader) error {
 	if a.qMig == nil {
@@ -89,6 +90,14 @@ func (a *ArtMem) RestoreQTables(r io.Reader) error {
 			}
 		}
 		staged[i] = tmp
+	}
+	// SaveQTables writes nothing after the second table.
+	var extra [1]byte
+	if _, err := io.ReadFull(r, extra[:]); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("trailing bytes after table %d", len(live)-1)
+		}
+		return fmt.Errorf("core: snapshot: %w", err)
 	}
 	// Commit: every table parsed and matched dimensions.
 	for i, tb := range live {

@@ -288,3 +288,67 @@ func TestSaveFailureKeepsCheckpoint(t *testing.T) {
 		t.Errorf("directory holds %v after failed saves, want only the checkpoint", names)
 	}
 }
+
+// FuzzRestoreQTables pins the checkpoint restore as all-or-nothing on
+// arbitrary bytes: either RestoreQTables fails and the live tables
+// re-save byte-identical to before, or it succeeds and the re-save
+// reproduces the input exactly — so nothing a snapshot carries is
+// silently ignored.
+func FuzzRestoreQTables(f *testing.F) {
+	src := New(Config{})
+	src.Attach(testMachine(16))
+	sm, st := src.QTables()
+	sm.SetQ(2, 3, 1.25)
+	st.SetQ(7, 1, -0.5)
+	var buf bytes.Buffer
+	if err := src.SaveQTables(&buf); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	firstLen := binary.LittleEndian.Uint32(good[4:8])
+	oversized := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(oversized[4:8], 1<<24)
+	longer := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(longer[4:8], firstLen+8)
+	nan := append([]byte(nil), good...)
+	// The first Q value of table 0 follows the snapshot magic, the
+	// table length and the table's magic/states/actions header.
+	binary.LittleEndian.PutUint64(nan[8+12:], math.Float64bits(math.NaN()))
+	for _, seed := range [][]byte{
+		good,
+		good[:len(good)-4],
+		good[:10],
+		good[:3],
+		oversized,
+		longer,
+		nan,
+		append(append([]byte(nil), good...), 0xff),
+		nil,
+	} {
+		f.Add(seed)
+	}
+
+	a := New(Config{})
+	a.Attach(testMachine(16))
+	save := func(t *testing.T) []byte {
+		var b bytes.Buffer
+		if err := a.SaveQTables(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := save(t)
+		err := a.RestoreQTables(bytes.NewReader(data))
+		after := save(t)
+		if err != nil {
+			if !bytes.Equal(after, before) {
+				t.Fatalf("failed restore (%v) modified the live tables", err)
+			}
+			return
+		}
+		if !bytes.Equal(after, data) {
+			t.Fatalf("restore accepted %d bytes but re-saves %d different bytes", len(data), len(after))
+		}
+	})
+}

@@ -144,7 +144,7 @@ func (s *TieredSystem) ControlHandler() http.Handler {
 		})
 	})
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
-		n, ok := queryInt(w, r, "n", 0) // 0: everything retained
+		n, ok := QueryInt(w, r, "n", 0) // 0: everything retained
 		if !ok {
 			return
 		}

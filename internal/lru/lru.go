@@ -93,6 +93,10 @@ type PageLists struct {
 	head, tail [numLists]memsim.PageID
 	size       [numLists]int
 
+	// scratch holds the pages an Age pass collected from a list tail,
+	// reused across lists and passes so aging allocates nothing.
+	scratch []memsim.PageID
+
 	// transition, when non-nil, observes every list change: it fires
 	// after page p has moved from one list to another (to == None for a
 	// bare removal). Same-list reinsertions (recency refreshes) do not
@@ -293,18 +297,18 @@ func (l *PageLists) CollectHead(id ListID, n int) []memsim.PageID {
 // scanning-based baselines and for ArtMem's recency ordering.
 func (l *PageLists) Age(t memsim.TierID, scan int, referenced func(memsim.PageID) bool) {
 	active, inactive := ActiveOf(t), InactiveOf(t)
-	for _, p := range l.CollectTail(active, scan) {
-		if referenced(p) {
-			l.PushHead(active, p)
-		} else {
-			l.PushHead(inactive, p)
-		}
-	}
-	for _, p := range l.CollectTail(inactive, scan) {
-		if referenced(p) {
-			l.PushHead(active, p)
-		} else {
-			l.PushHead(inactive, p)
+	for _, id := range [2]ListID{active, inactive} {
+		l.scratch = l.scratch[:0]
+		l.FromTail(id, scan, func(p memsim.PageID) bool {
+			l.scratch = append(l.scratch, p)
+			return true
+		})
+		for _, p := range l.scratch {
+			if referenced(p) {
+				l.PushHead(active, p)
+			} else {
+				l.PushHead(inactive, p)
+			}
 		}
 	}
 }

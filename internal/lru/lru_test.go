@@ -1,6 +1,7 @@
 package lru
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -307,5 +308,65 @@ func TestTransitionHookDuringAge(t *testing.T) {
 	l.Age(memsim.Fast, 10, func(p memsim.PageID) bool { return refs[p] })
 	if fires != 2 {
 		t.Errorf("hook fired %d times during aging, want 2", fires)
+	}
+}
+
+// TestAgeAllocs pins an aging pass at zero allocations once its scratch
+// has grown: the agents age both tiers every sampling pass.
+func TestAgeAllocs(t *testing.T) {
+	l := New(256)
+	for p := 0; p < 256; p++ {
+		l.PushHead([]ListID{FastActive, FastInactive, SlowActive, SlowInactive}[p%4], memsim.PageID(p))
+	}
+	referenced := func(p memsim.PageID) bool { return p%3 == 0 }
+	age := func() {
+		l.Age(memsim.Fast, 48, referenced)
+		l.Age(memsim.Slow, 48, referenced)
+	}
+	age() // warm-up grows the scratch
+	if got := testing.AllocsPerRun(100, age); got != 0 {
+		t.Errorf("Age allocates %.0f objects per pass, want 0", got)
+	}
+}
+
+// TestAgeMatchesCollectTail pins Age's visit order against the
+// two-CollectTail formulation it replaced: the same pages are tested in
+// the same order and every list ends in the same state.
+func TestAgeMatchesCollectTail(t *testing.T) {
+	reference := func(l *PageLists, tier memsim.TierID, scan int, referenced func(memsim.PageID) bool) {
+		active, inactive := ActiveOf(tier), InactiveOf(tier)
+		for _, id := range []ListID{active, inactive} {
+			for _, p := range l.CollectTail(id, scan) {
+				if referenced(p) {
+					l.PushHead(active, p)
+				} else {
+					l.PushHead(inactive, p)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		const pages = 200
+		got, want := New(pages), New(pages)
+		for p := 0; p < pages; p++ {
+			id := ListID(1 + rng.Intn(int(numLists)-1))
+			got.PushHead(id, memsim.PageID(p))
+			want.PushHead(id, memsim.PageID(p))
+		}
+		bits := make([]bool, pages)
+		for i := range bits {
+			bits[i] = rng.Intn(2) == 0
+		}
+		for pass := 0; pass < 5; pass++ {
+			tier, scan := memsim.TierID(rng.Intn(2)), rng.Intn(80)
+			var gotOrder, wantOrder []memsim.PageID
+			got.Age(tier, scan, func(p memsim.PageID) bool { gotOrder = append(gotOrder, p); return bits[p] })
+			reference(want, tier, scan, func(p memsim.PageID) bool { wantOrder = append(wantOrder, p); return bits[p] })
+			assertPages(t, gotOrder, wantOrder)
+			for id := FastActive; id < numLists; id++ {
+				assertPages(t, got.CollectHead(id, pages), want.CollectHead(id, pages))
+			}
+		}
 	}
 }

@@ -351,7 +351,8 @@ func (t *Table) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary restores Q values serialized by MarshalBinary into a
-// table with matching dimensions.
+// table with matching dimensions. data must hold exactly one table:
+// trailing bytes are rejected.
 func (t *Table) UnmarshalBinary(data []byte) error {
 	buf := bytes.NewReader(data)
 	var magic, states, actions uint32
@@ -367,5 +368,11 @@ func (t *Table) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("rl: serialized dimensions %dx%d do not match table %dx%d",
 			states, actions, t.cfg.States, t.cfg.Actions)
 	}
-	return binary.Read(buf, binary.LittleEndian, t.q)
+	if err := binary.Read(buf, binary.LittleEndian, t.q); err != nil {
+		return err
+	}
+	if buf.Len() != 0 {
+		return fmt.Errorf("rl: %d trailing bytes after the Q values", buf.Len())
+	}
+	return nil
 }

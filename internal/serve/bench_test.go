@@ -18,11 +18,15 @@ func BenchmarkServeDecode(b *testing.B) {
 	wire := AppendAccessBatch(nil, 1, addrs, writes)
 	body := wire[4:]
 	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	var recs []Record
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeFrame(body); err != nil {
+		f, err := DecodeFrame(body, recs)
+		if err != nil {
 			b.Fatal(err)
 		}
+		recs = f.Records
 	}
 }
 
@@ -34,6 +38,7 @@ func BenchmarkServeEncode(b *testing.B) {
 		addrs[i] = uint64(i) * 4096
 	}
 	var buf []byte
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = AppendAccessBatch(buf[:0], uint64(i), addrs, writes)
@@ -133,6 +138,7 @@ func BenchmarkServeLoopback(b *testing.B) {
 		addrs[i] = uint64(i) * 4096
 	}
 	b.SetBytes(batch)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cl.SendAccessBatch(addrs, writes); err != nil {

@@ -16,7 +16,9 @@ import (
 type Client struct {
 	c  net.Conn
 	br *bufio.Reader
-	bw *bufio.Writer
+	// wbuf is the sender's encode buffer, reused for every batch: a
+	// client has exactly one sending goroutine.
+	wbuf []byte
 
 	window      int
 	idleTimeout time.Duration
@@ -72,7 +74,6 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	cl := &Client{
 		c:           nc,
 		br:          bufio.NewReaderSize(nc, 64<<10),
-		bw:          bufio.NewWriterSize(nc, 64<<10),
 		window:      cfg.Window,
 		idleTimeout: cfg.IdleTimeout,
 		onResolve:   cfg.OnResolve,
@@ -104,14 +105,20 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 }
 
 // readLoop resolves acks and rejects until Bye, error, or idle
-// timeout.
+// timeout, reading every frame into one reused buffer.
 func (c *Client) readLoop() {
 	var terminal error
+	var buf []byte
 	for {
 		if c.idleTimeout > 0 {
 			c.c.SetReadDeadline(time.Now().Add(c.idleTimeout))
 		}
-		f, err := ReadDecode(c.br)
+		body, err := ReadFrame(c.br, buf)
+		var f Frame
+		if err == nil {
+			buf = body
+			f, err = DecodeFrame(body, nil)
+		}
 		if err != nil {
 			terminal = err
 			break
@@ -217,7 +224,8 @@ func (c *Client) SendAccessBatch(addrs []uint64, writes []bool) (uint64, error) 
 	if err != nil {
 		return 0, err
 	}
-	if err := c.write(AppendAccessBatch(nil, seq, addrs, writes)); err != nil {
+	c.wbuf = AppendAccessBatch(c.wbuf[:0], seq, addrs, writes)
+	if err := c.write(c.wbuf); err != nil {
 		c.abandon(seq)
 		return 0, err
 	}
@@ -231,21 +239,19 @@ func (c *Client) SendBatch(recs []Record) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := c.write(AppendBatch(nil, seq, recs)); err != nil {
+	c.wbuf = AppendBatch(c.wbuf[:0], seq, recs)
+	if err := c.write(c.wbuf); err != nil {
 		c.abandon(seq)
 		return 0, err
 	}
 	return seq, nil
 }
 
-// write sends one encoded frame and flushes (a batch frame is larger
-// than the buffer's useful coalescing window anyway, and acks only
-// flow once the server has the bytes).
+// write sends one encoded frame straight to the socket: acks only flow
+// once the server has the bytes, so there is nothing to coalesce.
 func (c *Client) write(frame []byte) error {
-	if _, err := c.bw.Write(frame); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	_, err := c.c.Write(frame)
+	return err
 }
 
 // Draining reports whether the server announced a drain; a polite

@@ -11,9 +11,10 @@ import (
 // Network front of the Server: an accept loop, one reader goroutine per
 // connection (the connection's main loop), and one writer goroutine
 // flushing encoded frames. Done callbacks fire on pump goroutines and
-// must never block, so outgoing frames go through a mutex-guarded
-// pending list the writer drains — its size is bounded by the client's
-// in-flight window plus the tenant queue bound, never by a slow socket.
+// must never block, so outgoing frames are appended under a mutex into
+// a pending byte buffer the writer swaps out and flushes — its size is
+// bounded by the client's in-flight window plus the tenant queue bound,
+// never by a slow socket.
 
 // netState is the Server's network-side state, separate from the core
 // so the lockstep driver carries none of it.
@@ -107,18 +108,41 @@ func (s *Server) Shutdown() {
 	s.net.wg.Wait()
 }
 
-// conn is one client connection.
+// conn is one client connection. Its steady-state data plane allocates
+// nothing per batch beyond the done callback's closure: frames are read
+// into one reused buffer, batches decode into recycled record slices,
+// and acks are appended in place into a double-buffered output.
+//
+// Per-connection memory stays bounded. The frame buffer grows to the
+// largest frame read, at most MaxFrameSize bytes. A record slice is
+// queued (admission control caps the tenant's queue at the queue
+// bound), in the pump's current coalesced pass (at most CoalesceRecords
+// or one batch), the one the reader decodes into, or on the free list,
+// whose total capacity is capped at the queue bound.
 type conn struct {
 	s  *Server
 	c  net.Conn
 	br *bufio.Reader
 
+	// Reader-owned buffers: frame is the reused frame body, recs the
+	// record slice the next batch decodes into.
+	frame []byte
+	recs  []Record
+
 	mu   sync.Mutex
 	cond *sync.Cond
-	// out is the pending encoded-frame list the writer drains.
-	out [][]byte
+	// out holds the encoded frames pending for the writer. The writer
+	// swaps it with the buffer it flushed last, so senders append into
+	// one buffer while the other is on the wire.
+	out []byte
+	// free is the record-slice free list: a batch's records come back
+	// here once its done callback has fired (the server reads them only
+	// until then). freeRecs is the list's total capacity in records,
+	// capped at the server's queue bound.
+	free     [][]Record
+	freeRecs int
 	// closed stops new frames from being enqueued; the writer exits
-	// once the pending list is flushed, closing the socket.
+	// once the pending bytes are flushed, closing the socket.
 	closed bool
 	// dead marks a failed write: pending and future frames are dropped
 	// (the peer is gone; its batches still drain through the pumps).
@@ -134,20 +158,20 @@ type conn struct {
 	decodeNs int64
 }
 
-// send enqueues one encoded frame for the writer. Never blocks.
+// send enqueues one encoded control frame for the writer. Never blocks.
 func (c *conn) send(frame []byte) {
 	c.mu.Lock()
 	if c.closed || c.dead {
 		c.mu.Unlock()
 		return
 	}
-	c.out = append(c.out, frame)
+	c.out = append(c.out, frame...)
 	c.cond.Broadcast()
 	c.mu.Unlock()
 }
 
 // finish stops the connection's writer after it flushes the pending
-// list; the socket close then unblocks the reader. Idempotent.
+// bytes; the socket close then unblocks the reader. Idempotent.
 func (c *conn) finish() {
 	c.mu.Lock()
 	c.closed = true
@@ -155,37 +179,28 @@ func (c *conn) finish() {
 	c.mu.Unlock()
 }
 
-// writeLoop flushes pending frames until finish() and an empty list.
+// writeLoop flushes pending frames until finish() and an empty buffer.
 func (c *conn) writeLoop() {
 	defer c.s.net.wg.Done()
 	defer c.c.Close()
-	bw := bufio.NewWriterSize(c.c, 64<<10)
+	var buf []byte
 	for {
 		c.mu.Lock()
 		for len(c.out) == 0 && !c.closed {
 			c.cond.Wait()
 		}
-		frames := c.out
-		c.out = nil
+		buf, c.out = c.out, buf[:0]
 		closed := c.closed
 		c.mu.Unlock()
-		ok := true
-		for _, f := range frames {
-			if _, err := bw.Write(f); err != nil {
-				ok = false
-				break
+		if len(buf) > 0 {
+			if _, err := c.c.Write(buf); err != nil {
+				c.mu.Lock()
+				c.dead = true
+				c.out = nil
+				c.cond.Broadcast()
+				c.mu.Unlock()
+				return
 			}
-		}
-		if ok && bw.Flush() != nil {
-			ok = false
-		}
-		if !ok {
-			c.mu.Lock()
-			c.dead = true
-			c.out = nil
-			c.cond.Broadcast()
-			c.mu.Unlock()
-			return
 		}
 		if closed {
 			c.mu.Lock()
@@ -215,11 +230,12 @@ func (c *conn) readLoop() {
 	for {
 		// Read and decode separately so the decode stage is timed on
 		// its own: the blocking read is network idle, not decode cost.
-		body, err := ReadFrame(c.br)
+		body, err := ReadFrame(c.br, c.frame)
 		var f Frame
 		if err == nil {
+			c.frame = body
 			t0 := c.s.clock()
-			f, err = DecodeFrame(body)
+			f, err = DecodeFrame(body, c.recs)
 			c.decodeNs = c.s.clock() - t0
 		}
 		if err != nil {
@@ -234,7 +250,7 @@ func (c *conn) readLoop() {
 		}
 		switch f.Type {
 		case FrameBatch:
-			c.submit(f)
+			c.submit(f.Seq, f.Records)
 		case FrameBye:
 			// Let every accepted batch resolve so its ack or reject is
 			// enqueued (and flushed by the writer) before we answer.
@@ -293,28 +309,46 @@ func (c *conn) handshake() bool {
 	return true
 }
 
-// submit hands one batch frame to the server core and arranges the ack
-// or reject on the way back.
-func (c *conn) submit(f Frame) {
-	seq := f.Seq
+// submit hands one decoded batch to the server core and arranges the
+// ack or reject on the way back. The reader takes its next decode
+// slice off the free list, since recs now belongs to the server until
+// the batch resolves.
+func (c *conn) submit(seq uint64, recs []Record) {
 	c.mu.Lock()
 	c.outstanding++
-	c.mu.Unlock()
-	resolve := func(frame []byte) {
-		c.send(frame)
-		c.mu.Lock()
-		c.outstanding--
-		c.cond.Broadcast()
-		c.mu.Unlock()
+	c.recs = nil
+	if n := len(c.free); n > 0 {
+		c.recs = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		c.freeRecs -= cap(c.recs)
 	}
-	err := c.s.SubmitTimed(c.tenant, seq, f.Records, c.decodeNs, func(res Result) {
-		if res.Err != nil {
-			resolve(AppendReject(nil, seq, CodeFromError(res.Err), res.Err.Error()))
-			return
-		}
-		resolve(AppendAck(nil, seq, res.Count, res.QueueNs))
+	c.mu.Unlock()
+	err := c.s.SubmitTimed(c.tenant, seq, recs, c.decodeNs, func(res Result) {
+		c.resolve(seq, recs, res)
 	})
 	if err != nil {
-		resolve(AppendReject(nil, seq, CodeFromError(err), err.Error()))
+		c.resolve(seq, recs, Result{Err: err})
 	}
+}
+
+// resolve appends a batch's ack (or, with res.Err set, its reject) to
+// the pending output, retires the batch from the outstanding count and
+// returns its records to the free list.
+func (c *conn) resolve(seq uint64, recs []Record, res Result) {
+	c.mu.Lock()
+	if !c.closed && !c.dead {
+		if res.Err != nil {
+			c.out = AppendReject(c.out, seq, CodeFromError(res.Err), res.Err.Error())
+		} else {
+			c.out = AppendAck(c.out, seq, res.Count, res.QueueNs)
+		}
+	}
+	c.outstanding--
+	if cap(recs) > 0 && c.freeRecs+cap(recs) <= c.s.queueCap {
+		c.free = append(c.free, recs[:0])
+		c.freeRecs += cap(recs)
+	}
+	c.cond.Broadcast()
+	c.mu.Unlock()
 }

@@ -32,7 +32,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		fr, err := DecodeFrame(body)
+		fr, err := DecodeFrame(body, nil)
 		if err != nil {
 			return
 		}

@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // ProtoVersion is the wire protocol version carried in Hello frames.
@@ -177,118 +178,131 @@ var (
 const flagWrite = 0x80
 
 // ---- encoding ------------------------------------------------------------
+//
+// Every encoder appends one whole frame to dst in place: it reserves
+// the 4-byte length prefix, appends the type byte and body, then
+// backpatches the prefix — no intermediate body buffer, so encoding
+// into a reused dst allocates nothing once dst has grown to fit.
 
-// appendFrame wraps body (starting with its type byte) in a length
-// prefix.
-func appendFrame(dst, body []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
-	return append(dst, body...)
+// beginFrame appends a length placeholder and the type byte, returning
+// the grown dst and the offset of the placeholder for endFrame.
+func beginFrame(dst []byte, typ byte) ([]byte, int) {
+	start := len(dst)
+	return append(dst, 0, 0, 0, 0, typ), start
+}
+
+// endFrame backpatches the length prefix of the frame begun at start.
+func endFrame(dst []byte, start int) []byte {
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
 }
 
 // AppendHello encodes a Hello frame.
 func AppendHello(dst []byte, tenant uint32, clientID string) []byte {
-	body := make([]byte, 0, 8+len(clientID))
-	body = append(body, FrameHello, ProtoVersion)
-	body = binary.BigEndian.AppendUint32(body, tenant)
-	body = binary.BigEndian.AppendUint16(body, uint16(len(clientID)))
-	body = append(body, clientID...)
-	return appendFrame(dst, body)
+	dst, start := beginFrame(dst, FrameHello)
+	dst = append(dst, ProtoVersion)
+	dst = binary.BigEndian.AppendUint32(dst, tenant)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(clientID)))
+	dst = append(dst, clientID...)
+	return endFrame(dst, start)
 }
 
 // AppendHelloAck encodes a HelloAck frame.
 func AppendHelloAck(dst []byte, code byte, msg string) []byte {
-	body := make([]byte, 0, 4+len(msg))
-	body = append(body, FrameHelloAck, code)
-	body = binary.BigEndian.AppendUint16(body, uint16(len(msg)))
-	body = append(body, msg...)
-	return appendFrame(dst, body)
+	dst, start := beginFrame(dst, FrameHelloAck)
+	dst = append(dst, code)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(msg)))
+	dst = append(dst, msg...)
+	return endFrame(dst, start)
 }
 
 // AppendBatch encodes a Batch frame carrying recs under sequence seq.
 func AppendBatch(dst []byte, seq uint64, recs []Record) []byte {
-	body := make([]byte, 0, 13+17*len(recs))
-	body = append(body, FrameBatch)
-	body = binary.BigEndian.AppendUint64(body, seq)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(recs)))
+	dst = slices.Grow(dst, 17+17*len(recs))
+	dst, start := beginFrame(dst, FrameBatch)
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(recs)))
 	for _, r := range recs {
 		of := r.Op
 		if r.Write {
 			of |= flagWrite
 		}
-		body = append(body, of)
-		body = binary.BigEndian.AppendUint64(body, r.Addr)
+		dst = append(dst, of)
+		dst = binary.BigEndian.AppendUint64(dst, r.Addr)
 		if r.Op != OpAccess {
-			body = binary.BigEndian.AppendUint64(body, r.Size)
+			dst = binary.BigEndian.AppendUint64(dst, r.Size)
 		}
 	}
-	return appendFrame(dst, body)
+	return endFrame(dst, start)
 }
 
 // AppendAccessBatch encodes a Batch frame of pure access records given
 // parallel addr/write slices — the load generator's hot path, one
 // append pass without building []Record.
 func AppendAccessBatch(dst []byte, seq uint64, addrs []uint64, writes []bool) []byte {
-	body := make([]byte, 0, 13+9*len(addrs))
-	body = append(body, FrameBatch)
-	body = binary.BigEndian.AppendUint64(body, seq)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(addrs)))
+	dst = slices.Grow(dst, 17+9*len(addrs))
+	dst, start := beginFrame(dst, FrameBatch)
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(addrs)))
 	for i, a := range addrs {
 		of := byte(OpAccess)
 		if writes[i] {
 			of |= flagWrite
 		}
-		body = append(body, of)
-		body = binary.BigEndian.AppendUint64(body, a)
+		dst = append(dst, of)
+		dst = binary.BigEndian.AppendUint64(dst, a)
 	}
-	return appendFrame(dst, body)
+	return endFrame(dst, start)
 }
 
 // AppendAck encodes an Ack frame.
 func AppendAck(dst []byte, seq uint64, count uint32, queueNs uint64) []byte {
-	body := make([]byte, 0, 22)
-	body = append(body, FrameAck)
-	body = binary.BigEndian.AppendUint64(body, seq)
-	body = binary.BigEndian.AppendUint32(body, count)
-	body = binary.BigEndian.AppendUint64(body, queueNs)
-	return appendFrame(dst, body)
+	dst, start := beginFrame(dst, FrameAck)
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = binary.BigEndian.AppendUint32(dst, count)
+	dst = binary.BigEndian.AppendUint64(dst, queueNs)
+	return endFrame(dst, start)
 }
 
 // AppendReject encodes a Reject frame.
 func AppendReject(dst []byte, seq uint64, code byte, msg string) []byte {
-	body := make([]byte, 0, 13+len(msg))
-	body = append(body, FrameReject)
-	body = binary.BigEndian.AppendUint64(body, seq)
-	body = append(body, code)
-	body = binary.BigEndian.AppendUint16(body, uint16(len(msg)))
-	body = append(body, msg...)
-	return appendFrame(dst, body)
+	dst, start := beginFrame(dst, FrameReject)
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = append(dst, code)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(msg)))
+	dst = append(dst, msg...)
+	return endFrame(dst, start)
 }
 
 // AppendBye encodes a Bye frame.
-func AppendBye(dst []byte) []byte { return appendFrame(dst, []byte{FrameBye}) }
+func AppendBye(dst []byte) []byte { return endFrame(beginFrame(dst, FrameBye)) }
 
 // AppendDrain encodes a Drain frame.
-func AppendDrain(dst []byte) []byte { return appendFrame(dst, []byte{FrameDrain}) }
+func AppendDrain(dst []byte) []byte { return endFrame(beginFrame(dst, FrameDrain)) }
 
 // ---- decoding ------------------------------------------------------------
 
 // ReadFrame reads one length-prefixed frame body (type byte included)
-// from r. It returns ErrFrameTooLarge for oversized announcements and
-// io.EOF / io.ErrUnexpectedEOF on truncation; the returned buffer is
-// freshly allocated and owned by the caller.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// from r into buf, reusing buf's storage when it is large enough (a nil
+// buf allocates). The returned body aliases buf in that case, so it is
+// valid until the caller reuses buf. It returns ErrFrameTooLarge for
+// oversized announcements and io.EOF / io.ErrUnexpectedEOF on
+// truncation.
+func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
+	// The length prefix is read into buf too: a local array handed to
+	// the io.Reader interface would escape and allocate per frame.
+	hdr := slices.Grow(buf[:0], 4)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 {
 		return nil, fmt.Errorf("%w: zero-length frame", ErrMalformed)
 	}
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("%w: announced %d bytes", ErrFrameTooLarge, n)
 	}
-	body := make([]byte, n)
+	body := slices.Grow(hdr[:0], int(n))[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -299,11 +313,13 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 }
 
 // DecodeFrame parses one frame body produced by ReadFrame (or an
-// Append* encoder without its length prefix). Any structural problem —
-// unknown type, short body, record count that disagrees with the
-// payload — returns an error wrapping ErrMalformed; DecodeFrame never
-// panics on garbage.
-func DecodeFrame(body []byte) (Frame, error) {
+// Append* encoder without its length prefix). A Batch's records are
+// decoded into recs[:0], reusing its storage when it is large enough (a
+// nil recs allocates); Frame.Records aliases recs in that case. Any
+// structural problem — unknown type, short body, record count that
+// disagrees with the payload — returns an error wrapping ErrMalformed;
+// DecodeFrame never panics on garbage.
+func DecodeFrame(body []byte, recs []Record) (Frame, error) {
 	var f Frame
 	if len(body) == 0 {
 		return f, fmt.Errorf("%w: empty body", ErrMalformed)
@@ -344,7 +360,10 @@ func DecodeFrame(body []byte) (Frame, error) {
 		if uint64(count)*9 > uint64(len(p)) {
 			return f, fmt.Errorf("%w: batch count %d exceeds payload", ErrMalformed, count)
 		}
-		recs := make([]Record, 0, count)
+		recs = recs[:0]
+		if recs == nil || cap(recs) < int(count) {
+			recs = make([]Record, 0, count)
+		}
 		for i := uint32(0); i < count; i++ {
 			if len(p) < 9 {
 				return f, fmt.Errorf("%w: short record", ErrMalformed)
@@ -398,12 +417,13 @@ func DecodeFrame(body []byte) (Frame, error) {
 	return f, nil
 }
 
-// ReadDecode reads and decodes the next frame from r; the composition
-// every receive loop uses.
+// ReadDecode reads and decodes the next frame from r into fresh
+// buffers — the one-shot composition the handshakes use; the steady
+// receive loops call ReadFrame and DecodeFrame with reused buffers.
 func ReadDecode(r *bufio.Reader) (Frame, error) {
-	body, err := ReadFrame(r)
+	body, err := ReadFrame(r, nil)
 	if err != nil {
 		return Frame{}, err
 	}
-	return DecodeFrame(body)
+	return DecodeFrame(body, nil)
 }

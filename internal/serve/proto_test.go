@@ -14,11 +14,11 @@ import (
 // decodes the body — the test-side composition of ReadFrame+Decode.
 func decodeWire(t *testing.T, wire []byte) Frame {
 	t.Helper()
-	body, err := ReadFrame(bytes.NewReader(wire))
+	body, err := ReadFrame(bytes.NewReader(wire), nil)
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
-	f, err := DecodeFrame(body)
+	f, err := DecodeFrame(body, nil)
 	if err != nil {
 		t.Fatalf("DecodeFrame: %v", err)
 	}
@@ -80,25 +80,25 @@ func TestProtoGarbage(t *testing.T) {
 	t.Run("oversized length", func(t *testing.T) {
 		var hdr [4]byte
 		binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
-		_, err := ReadFrame(bytes.NewReader(hdr[:]))
+		_, err := ReadFrame(bytes.NewReader(hdr[:]), nil)
 		if !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 		}
 	})
 	t.Run("zero length", func(t *testing.T) {
-		_, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0}))
+		_, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0}), nil)
 		if !errors.Is(err, ErrMalformed) {
 			t.Fatalf("err = %v, want ErrMalformed", err)
 		}
 	})
 	t.Run("truncated header", func(t *testing.T) {
-		if _, err := ReadFrame(bytes.NewReader([]byte{0, 0})); err == nil {
+		if _, err := ReadFrame(bytes.NewReader([]byte{0, 0}), nil); err == nil {
 			t.Fatal("short header decoded")
 		}
 	})
 	t.Run("truncated body", func(t *testing.T) {
 		wire := AppendBatch(nil, 1, []Record{{Op: OpAccess, Addr: 7}})
-		_, err := ReadFrame(bytes.NewReader(wire[:len(wire)-3]))
+		_, err := ReadFrame(bytes.NewReader(wire[:len(wire)-3]), nil)
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
 		}
@@ -148,7 +148,7 @@ func TestProtoGarbage(t *testing.T) {
 		bad = append(bad, append(wire[4:len(wire):len(wire)], 0xff))
 	}
 	for i, body := range bad {
-		if _, err := DecodeFrame(body); !errors.Is(err, ErrMalformed) {
+		if _, err := DecodeFrame(body, nil); !errors.Is(err, ErrMalformed) {
 			t.Errorf("garbage case %d (% x): err = %v, want ErrMalformed", i, body, err)
 		}
 	}

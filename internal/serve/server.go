@@ -93,7 +93,9 @@ type tenantQueue struct {
 	records int
 	stopped bool
 
-	// Coalescing scratch, reused across pump iterations.
+	// Pump scratch, reused across pump iterations: the batches taken
+	// off the queue, and the coalesced access run.
+	took   []batch
 	addrs  []uint64
 	writes []bool
 }
@@ -272,14 +274,17 @@ func (s *Server) Slots() int { return len(s.queues) }
 // ErrDraining the shutdown refusal, ErrBadTenant / tenancy errors a
 // slot that cannot take traffic.
 //
-// The caller must not mutate recs after a nil return.
+// The server reads recs until done fires, and not after: a caller may
+// reuse recs once its done callback has run (the network layer recycles
+// each batch's record slice that way). After a non-nil return the
+// server holds no reference to recs.
 func (s *Server) Submit(slot int, seq uint64, recs []Record, done func(Result)) error {
 	return s.SubmitTimed(slot, seq, recs, 0, done)
 }
 
 // SubmitTimed is Submit with the frame-decode duration that produced
 // recs, in clock nanoseconds — the network layer measures it around
-// ReadDecode so spans and the end-to-end latency metrics can attribute
+// DecodeFrame so spans and the end-to-end latency metrics can attribute
 // it. Direct submitters (lockstep experiments, tests) use Submit,
 // which passes zero.
 func (s *Server) SubmitTimed(slot int, seq uint64, recs []Record, decodeNs int64, done func(Result)) error {
@@ -364,11 +369,12 @@ func (s *Server) Pump(slot int) int {
 		recs += len(b.recs)
 		n++
 	}
-	took := q.batches[:n:n]
-	q.batches = q.batches[n:]
-	if len(q.batches) == 0 {
-		q.batches = nil
-	}
+	// Move the taken batches into the pump's scratch and shift the rest
+	// down, so both slices keep their storage across iterations.
+	took := append(q.took[:0], q.batches[:n]...)
+	rest := copy(q.batches, q.batches[n:])
+	clear(q.batches[rest:])
+	q.batches = q.batches[:rest]
 	q.records -= recs
 	q.mu.Unlock()
 
@@ -408,6 +414,9 @@ func (s *Server) Pump(slot int) int {
 		}
 		s.slo.Observe(slot, int64(qns)+b.decode, err == nil)
 	}
+	// Drop the retired batches' callbacks and records from the scratch.
+	clear(took)
+	q.took = took[:0]
 	return n
 }
 
